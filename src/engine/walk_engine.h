@@ -33,6 +33,7 @@
 #define SRC_ENGINE_WALK_ENGINE_H_
 
 #include <algorithm>
+#include <cstdio>
 #include <memory>
 #include <optional>
 #include <string>
@@ -209,8 +210,9 @@ struct WalkEngineOptions {
   // ValidateRun() before any setup runs.
   const MutationLog* mutation_log = nullptr;
   // Per-vertex delta budget: once any overlay row has absorbed this many
-  // mutations, the whole overlay is folded back into a fresh CSR at the next
-  // batch boundary and the flat sampler state is rebuilt. 0 never merges.
+  // mutations, the whole overlay is folded back into the CSR at the next
+  // batch boundary and the flat sampler tables are relayouted onto it (only
+  // the touched rows rebuild). 0 never merges.
   uint32_t merge_threshold = 64;
   // Which sampler a weighted dirty row uses (docs/DYNAMIC_GRAPHS.md).
   // kLegacyRow (default) keeps the eager weight-class rows whose RNG draw
@@ -263,6 +265,9 @@ struct MutationCounters {
   uint64_t reweighted = 0;
   uint64_t rejected = 0;             // delete-of-absent / reweight-on-unweighted
   uint64_t rows_materialized = 0;    // overlay rows created (first touches)
+  // Dirty-row sampler work that reached a sampled overlay. A batch that ends
+  // in a merge never builds overlay rows (the merge rebuilds those rows in
+  // the flat tables instead), so these count edits of non-merging batches.
   uint64_t full_builds = 0;          // O(degree) whole-row sampler builds
   uint64_t bucket_builds = 0;        // lazy per-class materializations (kAliasClass)
   uint64_t incremental_updates = 0;  // O(1) single-bucket sampler updates
@@ -371,6 +376,24 @@ class WalkEngine {
       return "streaming mutations rebuild static sampler state on merge; "
              "reuse_static_state would serve stale tables. Disable one of "
              "WalkEngineOptions::mutation_log / reuse_static_state";
+    }
+    if (mutating) {
+      const MutationLog& log = *options_.mutation_log;
+      const vertex_id_t n = graph_.num_vertices();
+      for (size_t b = 0; b < log.num_batches(); ++b) {
+        const auto epoch = static_cast<unsigned long long>(log.batch(b).epoch);
+        for (const EdgeMutation& m : log.batch(b).mutations) {
+          if (m.src >= n || m.dst >= n) {
+            char msg[256];
+            std::snprintf(msg, sizeof(msg),
+                          "mutation log batch %zu (epoch %llu) edits edge %u->%u, "
+                          "but the graph has vertices [0, %u). Fix the mutation's "
+                          "endpoints or drop it before appending the batch to "
+                          "WalkEngineOptions::mutation_log", b, epoch, m.src, m.dst, n);
+            return msg;
+          }
+        }
+      }
     }
     return std::string();
   }
@@ -1114,11 +1137,7 @@ class WalkEngine {
                                                      superstep_);
       }
       ++mutation_cursor_;
-      // Merges fire only at batch boundaries: a threshold crossed mid-batch
-      // defers to here, so every batch applies against one consistent base.
-      if (delta_.pending_merge()) {
-        MergeOverlay();
-      }
+      FinishBatch();
     }
   }
 
@@ -1128,14 +1147,31 @@ class WalkEngine {
     }
   }
 
+  // Merges fire only at batch boundaries: a threshold crossed mid-batch
+  // defers to here, so every batch applies against one consistent base. A
+  // merging batch drops its recorded overlay edits (the merge rebuilds its
+  // dirty rows in the flat tables and resets the overlay); any other batch
+  // replays them into the overlay its dirty rows are sampled from.
+  void FinishBatch() {
+    if (delta_.pending_merge()) {
+      MergeOverlay();
+    } else {
+      overlay_edits_.ReplayInto(overlay_);
+    }
+    overlay_edits_.Clear();
+  }
+
   // One mutation: materialize on first touch (the only O(degree) step),
-  // mirror the row edit into the weight-class sampler in O(1), refresh the
+  // record the sampler edit it implies for FinishBatch, refresh the
   // vertex's Pd envelope.
   void ApplyMutation(const EdgeMutation& m) {
+    // Backstop for logs that skipped ValidateRun: IsDirty indexes by m.src.
+    const vertex_id_t n = graph_.num_vertices();
+    KK_CHECK_MSG(m.src < n && m.dst < n, "mutation %u->%u outside [0, %u)", m.src, m.dst, n);
     if (!delta_.IsDirty(m.src)) {
       delta_.Materialize(m.src);
       if (weighted_) {
-        BuildOverlayRow(m.src);
+        RecordOverlayRow(m.src);
       }
     }
     const RowEdit edit = delta_.Apply(m, options_.merge_threshold);
@@ -1144,15 +1180,14 @@ class WalkEngine {
         case RowEdit::Kind::kNone:
           break;
         case RowEdit::Kind::kInsert:
-          overlay_.PushBack(m.src,
-                            PsOf(m.src, delta_.Neighbors(m.src)[edit.local_index]));
+          overlay_edits_.PushBack(m.src, PsOf(m.src, delta_.Neighbors(m.src)[edit.local_index]));
           break;
         case RowEdit::Kind::kRemove:
-          overlay_.SwapRemove(m.src, edit.local_index);
+          overlay_edits_.SwapRemove(m.src, edit.local_index);
           break;
         case RowEdit::Kind::kReweight:
-          overlay_.Reweight(m.src, edit.local_index,
-                            PsOf(m.src, delta_.Neighbors(m.src)[edit.local_index]));
+          overlay_edits_.Reweight(m.src, edit.local_index,
+                                  PsOf(m.src, delta_.Neighbors(m.src)[edit.local_index]));
           break;
       }
     }
@@ -1165,30 +1200,43 @@ class WalkEngine {
     }
   }
 
-  // Computes the Ps row for a freshly materialized vertex and builds its
-  // weight-class row.
-  void BuildOverlayRow(vertex_id_t v) {
+  // Records the weight-class row build of a freshly materialized vertex,
+  // with its Ps row as it stands before the first edit.
+  void RecordOverlayRow(vertex_id_t v) {
     auto nbrs = delta_.Neighbors(v);
-    ps_row_buffer_.resize(nbrs.size());
+    std::span<real_t> ps = overlay_edits_.BuildRow(v, nbrs.size());
     for (size_t i = 0; i < nbrs.size(); ++i) {
-      ps_row_buffer_[i] = PsOf(v, nbrs[i]);
+      ps[i] = PsOf(v, nbrs[i]);
     }
-    overlay_.BuildRow(v, ps_row_buffer_);
   }
 
-  // Folds base + overlay into a fresh CSR and rebuilds the flat static state
-  // over it. Clean rows byte-copy and dirty rows sort, in parallel vertex
-  // chunks on the prepare pool; amortized over merge_threshold mutations per
-  // row. Wall-clock accrues to merge_micros (graph.merge_micros, unstable).
+  // Folds base + overlay into the graph and relayouts the flat sampler
+  // tables onto it, fused into one pass over vertex chunks on the prepare
+  // pool: a clean row byte-copies its adjacency and table slices, a dirty
+  // row sorts and rebuilds its table — O(E) copy plus O(dirty) build, never
+  // a full PrepareStatic. Both land in the buffers the previous merge
+  // retired. The result is byte-identical to PrepareStatic over the merged
+  // graph: a table is a pure function of its row's Ps. Totals, max weights
+  // and the Pd envelopes of clean rows stay in place, and ApplyMutation
+  // already refreshed the dirty rows' envelopes. Wall-clock accrues to
+  // merge_micros (graph.merge_micros, unstable).
   void MergeOverlay() {
     Timer merge_timer;
     FoldMutationCounters();
-    Csr<EdgeData> merged = delta_.MergedCsr(PreparePool());
-    graph_ = std::move(merged);
+    delta_.ShapeMerged(retired_graph_);
+    sampler_.BeginRelayout(retired_graph_);
+    const auto dirty = [this](vertex_id_t v) { return delta_.IsDirty(v); };
+    const auto& static_comp = transition_->static_comp;
+    ParallelFill(PreparePool(), graph_.num_vertices(), [&](size_t begin, size_t end) {
+      typename StaticSamplerSet<EdgeData>::RowScratch scratch;
+      delta_.FillMergedRows(retired_graph_, begin, end);
+      sampler_.RelayoutRows(retired_graph_, begin, end, dirty, static_comp, scratch);
+    });
+    std::swap(graph_, retired_graph_);
     delta_.Reset(&graph_);
     overlay_.Reset(graph_.num_vertices(), options_.dynamic_sampler);
     ++merges_;
-    PrepareStatic();  // flat sampler tables, envelope arrays, partition plan
+    BuildPartitionPlan();
     merge_micros_ += static_cast<uint64_t>(merge_timer.Seconds() * 1e6);
   }
 
@@ -1228,9 +1276,7 @@ class WalkEngine {
     while (mutation_cursor_ < count) {
       ApplyBatch(log.batch(mutation_cursor_));
       ++mutation_cursor_;
-      if (delta_.pending_merge()) {
-        MergeOverlay();
-      }
+      FinishBatch();
     }
   }
 
@@ -2441,8 +2487,9 @@ class WalkEngine {
   Csr<EdgeData> pristine_graph_;
   DeltaStore<EdgeData> delta_;
   DynamicSamplerOverlay overlay_;
-  std::vector<real_t> ps_row_buffer_;  // driver-only scratch for row builds
-  size_t mutation_cursor_ = 0;         // log batches applied (checkpoint cut)
+  OverlayEditLog overlay_edits_;  // the current batch's overlay edits (driver-only)
+  Csr<EdgeData> retired_graph_;   // graph before the last merge; the next one reuses it
+  size_t mutation_cursor_ = 0;    // log batches applied (checkpoint cut)
   uint64_t merges_ = 0;
   uint64_t merge_micros_ = 0;  // wall-clock in MergeOverlay (unstable metric)
   MutationCounters folded_;  // counters folded out of overlay resets at merge

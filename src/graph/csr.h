@@ -10,13 +10,13 @@
 #include <algorithm>
 #include <optional>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "src/graph/edge.h"
 #include "src/graph/edge_list.h"
 #include "src/util/check.h"
 #include "src/util/prefetch.h"
+#include "src/util/recycle.h"
 #include "src/util/stats.h"
 #include "src/util/types.h"
 
@@ -55,19 +55,19 @@ class Csr {
     return csr;
   }
 
-  // Adopts pre-built offsets + adjacency verbatim (no per-row sort). For
-  // builders that already produce rows in the CSR invariant — e.g. the
-  // parallel overlay merge, which copies clean rows and sorts only dirty
-  // ones. The caller owns the neighbor-sorted contract; shape is validated.
-  static Csr FromParts(std::vector<edge_index_t> offsets, std::vector<AdjUnit<EdgeData>> adj) {
-    KK_CHECK_MSG(!offsets.empty() && offsets.front() == 0 &&
-                     offsets.back() == static_cast<edge_index_t>(adj.size()),
-                 "CSR parts disagree: %zu offsets, %zu adjacency entries", offsets.size(),
-                 adj.size());
-    Csr csr;
-    csr.offsets_ = std::move(offsets);
-    csr.adj_ = std::move(adj);
-    return csr;
+  // Re-lays this CSR out for `n` vertices with out-degrees degree(v),
+  // reusing its buffers (the overlay merge recycles a retired graph this
+  // way). Adjacency contents are unspecified until the caller writes every
+  // row through MutableNeighbors, and the caller owns the neighbor-sorted
+  // contract.
+  template <typename DegreeFn>
+  void Reshape(vertex_id_t n, const DegreeFn& degree) {
+    offsets_.resize(static_cast<size_t>(n) + 1);
+    offsets_[0] = 0;
+    for (vertex_id_t v = 0; v < n; ++v) {
+      offsets_[v + 1] = offsets_[v] + degree(v);
+    }
+    ResizeForOverwrite(adj_, offsets_[n]);
   }
 
   vertex_id_t num_vertices() const { return static_cast<vertex_id_t>(offsets_.size() - 1); }
@@ -80,6 +80,9 @@ class Csr {
 
   // Global index of vertex v's first out-edge in the adjacency array.
   edge_index_t EdgeBegin(vertex_id_t v) const { return offsets_[v]; }
+
+  // All V + 1 row offsets (sampler tables are laid out on them).
+  std::span<const edge_index_t> offsets() const { return offsets_; }
 
   std::span<const AdjUnit<EdgeData>> Neighbors(vertex_id_t v) const {
     KK_DCHECK(v < num_vertices());

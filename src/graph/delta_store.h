@@ -6,7 +6,7 @@
 // Clean vertices keep reading the base CSR span, so a static run pays one
 // predictable branch and zero memory. When a row absorbs more than a
 // configured number of mutations the whole overlay is merged back into a
-// fresh CSR and the overlay resets.
+// CSR (written into the retired graph's buffers) and the overlay resets.
 //
 // Determinism contract: every mutation flows through a MutationLog batch.
 // Batches are epoch-tagged (the superstep at whose boundary they apply),
@@ -32,7 +32,6 @@
 #include "src/graph/edge_list.h"
 #include "src/util/check.h"
 #include "src/util/rng.h"
-#include "src/util/thread_pool.h"
 #include "src/util/types.h"
 
 namespace knightking {
@@ -322,42 +321,45 @@ class DeltaStore {
     return edit;
   }
 
-  // Folds base + overlay into a fresh neighbor-sorted CSR. Incremental and
-  // parallel: clean rows are byte-copied from the base (already sorted —
-  // only the dirty-row fraction pays a sort), and rows are filled in
-  // independent vertex chunks on `pool` when one is provided. Deterministic
-  // regardless of pool: each row's bytes depend only on that row's (base,
-  // overlay) state and the sort comparator matches FromEdgeList's, so the
-  // output is byte-identical serial vs pooled. The caller swaps the result
-  // in as the new base and Resets the overlay.
-  Csr<EdgeData> MergedCsr(ThreadPool* pool = nullptr) const {
-    const vertex_id_t n = base_->num_vertices();
-    std::vector<edge_index_t> offsets(static_cast<size_t>(n) + 1, 0);
-    for (vertex_id_t v = 0; v < n; ++v) {
-      offsets[v + 1] = offsets[v] + OutDegree(v);
-    }
-    std::vector<AdjUnit<EdgeData>> adj(offsets[n]);
-    auto fill_rows = [&](size_t begin, size_t end) {
-      for (size_t v = begin; v < end; ++v) {
-        const auto src = Neighbors(static_cast<vertex_id_t>(v));
-        AdjUnit<EdgeData>* dst = adj.data() + offsets[v];
-        std::copy(src.begin(), src.end(), dst);
-        if (IsDirty(static_cast<vertex_id_t>(v))) {
-          // Dirty rows lost neighbor order (swap-with-last deletes, appended
-          // inserts); restore it with the same comparator FromEdgeList uses.
-          std::sort(dst, dst + src.size(),
-                    [](const AdjUnit<EdgeData>& a, const AdjUnit<EdgeData>& b) {
-                      return a.neighbor < b.neighbor;
-                    });
-        }
+  // Overlay merge, in two steps so the caller can fuse per-row work (the
+  // engine's sampler relayout) into the same pass over vertex chunks:
+  // ShapeMerged lays `out` out with the live degrees (a sequential O(V)
+  // prefix pass that reuses out's buffers), then FillMergedRows writes rows
+  // [begin, end). Clean rows byte-copy from the base (already sorted); only
+  // dirty rows pay a sort. Disjoint ranges may be filled concurrently. Each
+  // row's bytes depend only on that row's (base, overlay) state and the sort
+  // comparator matches FromEdgeList's, so the result is byte-identical
+  // however the ranges are split. The caller swaps `out` in as the new base
+  // and Resets the overlay.
+  void ShapeMerged(Csr<EdgeData>& out) const {
+    out.Reshape(base_->num_vertices(), [this](vertex_id_t v) { return OutDegree(v); });
+  }
+
+  void FillMergedRows(Csr<EdgeData>& out, size_t begin, size_t end) const {
+    for (size_t v = begin; v < end;) {
+      const auto vid = static_cast<vertex_id_t>(v);
+      if (!IsDirty(vid)) {
+        // A run of clean rows is contiguous in both layouts: one copy.
+        size_t run_end = v + 1;
+        while (run_end < end && !IsDirty(static_cast<vertex_id_t>(run_end))) ++run_end;
+        const auto last = static_cast<vertex_id_t>(run_end);
+        const edge_index_t count = base_->EdgeBegin(last) - base_->EdgeBegin(vid);
+        std::copy_n(base_->Neighbors(vid).data(), count, out.MutableNeighbors(vid).data());
+        v = run_end;
+        continue;
       }
-    };
-    if (pool != nullptr && pool->num_workers() > 0) {
-      pool->ParallelFor(n, BuildChunkSize(n, pool->num_workers()), fill_rows);
-    } else {
-      fill_rows(0, n);
+      const auto src = Neighbors(vid);
+      const auto dst = out.MutableNeighbors(vid);
+      KK_DCHECK(dst.size() == src.size());
+      std::copy(src.begin(), src.end(), dst.begin());
+      // Dirty rows lost neighbor order (swap-with-last deletes, appended
+      // inserts); restore it with the same comparator FromEdgeList uses.
+      std::sort(dst.begin(), dst.end(),
+                [](const AdjUnit<EdgeData>& a, const AdjUnit<EdgeData>& b) {
+                  return a.neighbor < b.neighbor;
+                });
+      ++v;
     }
-    return Csr<EdgeData>::FromParts(std::move(offsets), std::move(adj));
   }
 
  private:

@@ -22,12 +22,20 @@ class ThreadPool;
 
 namespace alias_internal {
 
-// Vose's alias construction over weights[begin..end) writing into
-// prob/alias[0..n). Returns the total weight. Zero-weight entries are valid
-// (never sampled); an all-zero distribution returns total 0 and must not be
-// sampled from.
+// Work lists of one Vose construction. Reused across rows so a table build
+// allocates per worker, not per row; a row's result never depends on what
+// the scratch held before.
+struct AliasScratch {
+  std::vector<double> scaled;
+  std::vector<uint32_t> small;
+  std::vector<uint32_t> large;
+};
+
+// Vose's alias construction over weights[0..n) writing into prob/alias[0..n).
+// Returns the total weight. Zero-weight entries are valid (never sampled); an
+// all-zero distribution returns total 0 and must not be sampled from.
 double BuildAliasRow(std::span<const real_t> weights, std::span<real_t> prob,
-                     std::span<uint32_t> alias);
+                     std::span<uint32_t> alias, AliasScratch& scratch);
 
 // One alias draw over a row of size n.
 inline size_t SampleAliasRow(std::span<const real_t> prob, std::span<const uint32_t> alias,
@@ -50,7 +58,8 @@ class AliasTable {
   void Build(std::span<const real_t> weights) {
     prob_.resize(weights.size());
     alias_.resize(weights.size());
-    total_weight_ = alias_internal::BuildAliasRow(weights, prob_, alias_);
+    alias_internal::AliasScratch scratch;
+    total_weight_ = alias_internal::BuildAliasRow(weights, prob_, alias_, scratch);
   }
 
   size_t size() const { return prob_.size(); }
@@ -79,6 +88,32 @@ class FlatAliasTables {
   // parallel (vertex-chunked); null builds sequentially.
   void Build(std::span<const edge_index_t> offsets, std::span<const real_t> weights,
              ThreadPool* pool = nullptr);
+
+  // Row-wise construction, shared by Build and the overlay merge's relayout
+  // (docs/DYNAMIC_GRAPHS.md). Layout() sizes the tables for `offsets`; every
+  // row must then be written once, by BuildRow or MoveRows. Rows are
+  // disjoint, so distinct vertex ranges may be written concurrently.
+  //
+  // A row's table is a pure function of its weights, so a merge that left a
+  // row untouched moves it (byte-identical to rebuilding it) and rebuilds
+  // only the rows the overlay touched. Relayout(offsets) is Layout() that
+  // keeps the current tables readable as MoveRows' source; it writes into
+  // the buffers the previous relayout retired instead of fresh ones.
+  void Layout(std::span<const edge_index_t> offsets);
+  void Relayout(std::span<const edge_index_t> offsets);
+  void BuildRow(vertex_id_t v, std::span<const real_t> weights,
+                alias_internal::AliasScratch& scratch);
+  // Copies rows [begin, end) verbatim from the retired layout (one block:
+  // consecutive rows are contiguous in both layouts). Their degrees must not
+  // have changed.
+  void MoveRows(vertex_id_t begin, vertex_id_t end);
+
+  // Raw table arrays (tests compare relayouts against full builds bytewise).
+  std::span<const edge_index_t> offsets() const { return offsets_; }
+  std::span<const real_t> prob() const { return prob_; }
+  std::span<const uint32_t> alias() const { return alias_; }
+  std::span<const double> totals() const { return totals_; }
+  std::span<const real_t> max_weights() const { return max_weight_; }
 
   // Samples a local edge index (offset within v's adjacency).
   vertex_id_t Sample(vertex_id_t v, Rng& rng) const {
@@ -121,6 +156,11 @@ class FlatAliasTables {
   std::vector<uint32_t> alias_;
   std::vector<double> totals_;
   std::vector<real_t> max_weight_;
+  // The layout before the last Relayout (MoveRows' source), kept afterwards
+  // as the next relayout's buffers. Not counted in MemoryBytes.
+  std::vector<edge_index_t> retired_offsets_;
+  std::vector<real_t> retired_prob_;
+  std::vector<uint32_t> retired_alias_;
 };
 
 }  // namespace knightking

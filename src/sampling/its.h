@@ -14,6 +14,7 @@
 
 #include "src/util/check.h"
 #include "src/util/prefetch.h"
+#include "src/util/recycle.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
 #include "src/util/types.h"
@@ -80,21 +81,11 @@ class FlatItsTables {
     KK_CHECK(!offsets.empty());
     size_t num_vertices = offsets.size() - 1;
     KK_CHECK(offsets.back() == weights.size());
-    offsets_.assign(offsets.begin(), offsets.end());
-    cdf_.resize(weights.size());
-    totals_.resize(num_vertices);
-    max_weight_.resize(num_vertices);
+    Layout(offsets);
     auto build_rows = [&](size_t row_begin, size_t row_end) {
       for (size_t v = row_begin; v < row_end; ++v) {
-        double sum = 0.0;
-        real_t max_w = 0.0f;
-        for (edge_index_t i = offsets[v]; i < offsets[v + 1]; ++i) {
-          sum += static_cast<double>(weights[i]);
-          max_w = std::max(max_w, weights[i]);
-          cdf_[i] = sum;
-        }
-        totals_[v] = sum;
-        max_weight_[v] = max_w;
+        BuildRow(static_cast<vertex_id_t>(v),
+                 weights.subspan(offsets[v], offsets[v + 1] - offsets[v]));
       }
     };
     if (pool != nullptr && pool->num_workers() > 0) {
@@ -104,6 +95,52 @@ class FlatItsTables {
       build_rows(0, num_vertices);
     }
   }
+
+  // Row-wise construction and merge relayout; same contract as
+  // FlatAliasTables::Layout / Relayout / BuildRow / MoveRows.
+  void Layout(std::span<const edge_index_t> offsets) {
+    KK_CHECK(!offsets.empty());
+    const size_t num_vertices = offsets.size() - 1;
+    offsets_.assign(offsets.begin(), offsets.end());
+    ResizeForOverwrite(cdf_, offsets.back());
+    totals_.resize(num_vertices);
+    max_weight_.resize(num_vertices);
+  }
+
+  void Relayout(std::span<const edge_index_t> offsets) {
+    KK_CHECK_MSG(offsets.size() == offsets_.size(),
+                 "relayout changes the vertex count (%zu -> %zu offsets)", offsets_.size(),
+                 offsets.size());
+    offsets_.swap(retired_offsets_);
+    cdf_.swap(retired_cdf_);
+    Layout(offsets);
+  }
+
+  void BuildRow(vertex_id_t v, std::span<const real_t> weights) {
+    KK_DCHECK(weights.size() == offsets_[v + 1] - offsets_[v]);
+    double* cdf = cdf_.data() + offsets_[v];
+    double sum = 0.0;
+    real_t max_w = 0.0f;
+    for (size_t i = 0; i < weights.size(); ++i) {
+      sum += static_cast<double>(weights[i]);
+      max_w = std::max(max_w, weights[i]);
+      cdf[i] = sum;
+    }
+    totals_[v] = sum;
+    max_weight_[v] = max_w;
+  }
+
+  void MoveRows(vertex_id_t begin, vertex_id_t end) {
+    const edge_index_t from = retired_offsets_[begin];
+    const edge_index_t count = retired_offsets_[end] - from;
+    KK_DCHECK(offsets_[end] - offsets_[begin] == count);
+    std::copy_n(retired_cdf_.data() + from, count, cdf_.data() + offsets_[begin]);
+  }
+
+  std::span<const edge_index_t> offsets() const { return offsets_; }
+  std::span<const double> cdf() const { return cdf_; }
+  std::span<const double> totals() const { return totals_; }
+  std::span<const real_t> max_weights() const { return max_weight_; }
 
   vertex_id_t Sample(vertex_id_t v, Rng& rng) const {
     edge_index_t begin = offsets_[v];
@@ -148,6 +185,9 @@ class FlatItsTables {
   std::vector<double> cdf_;
   std::vector<double> totals_;
   std::vector<real_t> max_weight_;
+  // The layout before the last Relayout, as in FlatAliasTables.
+  std::vector<edge_index_t> retired_offsets_;
+  std::vector<double> retired_cdf_;
 };
 
 }  // namespace knightking

@@ -36,15 +36,21 @@ class StaticSamplerSet {
  public:
   using StaticCompFn = std::function<real_t(vertex_id_t, const AdjUnit<EdgeData>&)>;
 
+  // One thread's scratch for row builds: the row's Ps and the alias work
+  // lists, reused across rows.
+  struct RowScratch {
+    std::vector<real_t> weights;
+    alias_internal::AliasScratch alias;
+  };
+
   // static_comp == nullptr means "use the edge weight, or 1 if unweighted".
-  // A non-null `pool` parallelizes both the weight materialization and the
-  // per-vertex table construction (rows are independent); static_comp must
-  // then be safe to call concurrently — the pure lambdas the apps supply are.
+  // A non-null `pool` builds the rows (Ps materialization + table) in
+  // parallel vertex chunks; static_comp must then be safe to call
+  // concurrently — the pure lambdas the apps supply are.
   void Build(const Csr<EdgeData>& csr, StaticSamplerKind kind, const StaticCompFn& static_comp,
              ThreadPool* pool = nullptr) {
     csr_ = &csr;
-    bool custom = static_cast<bool>(static_comp);
-    bool weighted = custom || HasWeight<EdgeData>;
+    bool weighted = static_cast<bool>(static_comp) || HasWeight<EdgeData>;
     kind_ = kind;
     if (kind_ == StaticSamplerKind::kAuto) {
       kind_ = weighted ? StaticSamplerKind::kAlias : StaticSamplerKind::kUniform;
@@ -53,33 +59,65 @@ class StaticSamplerSet {
       KK_CHECK(!weighted);  // uniform draws would silently ignore Ps
       return;
     }
-    // Materialize per-edge static weights in CSR order: offsets first (a
-    // sequential O(V) prefix pass), then the per-edge fill over disjoint
-    // vertex chunks.
-    size_t num_v = csr.num_vertices();
-    std::vector<edge_index_t> offsets(num_v + 1, 0);
-    for (vertex_id_t v = 0; v < num_v; ++v) {
-      offsets[v + 1] = offsets[v] + csr.OutDegree(v);
+    if (kind_ == StaticSamplerKind::kAlias) {
+      alias_.Layout(csr.offsets());
+    } else {
+      its_.Layout(csr.offsets());
     }
-    std::vector<real_t> weights(csr.num_edges());
-    auto fill = [&](size_t begin, size_t end) {
+    const size_t num_v = csr.num_vertices();
+    auto build_rows = [&](size_t begin, size_t end) {
+      RowScratch scratch;
       for (size_t v = begin; v < end; ++v) {
-        edge_index_t out = offsets[v];
-        for (const auto& adj : csr.Neighbors(static_cast<vertex_id_t>(v))) {
-          weights[out++] =
-              custom ? static_comp(static_cast<vertex_id_t>(v), adj) : StaticWeight(adj.data);
-        }
+        BuildRow(csr, static_cast<vertex_id_t>(v), static_comp, scratch);
       }
     };
     if (pool != nullptr && pool->num_workers() > 0) {
-      pool->ParallelFor(num_v, BuildChunkSize(num_v, pool->num_workers()), fill);
+      pool->ParallelFor(num_v, BuildChunkSize(num_v, pool->num_workers()), build_rows);
     } else {
-      fill(0, num_v);
+      build_rows(0, num_v);
     }
+  }
+
+  // Overlay-merge relayout (docs/DYNAMIC_GRAPHS.md). `merged` is the graph
+  // the tables were built over with some rows replaced; `dirty(v)` names
+  // them. BeginRelayout lays the tables out on merged's offsets, recycling
+  // the buffers the previous relayout retired. RelayoutRows then moves each
+  // clean row's table verbatim (runs of clean rows as one block) and
+  // rebuilds each dirty row from merged's adjacency; disjoint vertex ranges
+  // may run concurrently, one scratch each. A table is a pure function of
+  // its row's Ps, so the result is byte-identical to Build(merged) at O(E)
+  // copy plus O(dirty) build cost.
+  // The set stays bound to the Csr object Build was given: the caller moves
+  // the merged graph into it (the engine swaps its graph buffers).
+  void BeginRelayout(const Csr<EdgeData>& merged) {
     if (kind_ == StaticSamplerKind::kAlias) {
-      alias_.Build(offsets, weights, pool);
-    } else {
-      its_.Build(offsets, weights, pool);
+      alias_.Relayout(merged.offsets());
+    } else if (kind_ == StaticSamplerKind::kIts) {
+      its_.Relayout(merged.offsets());
+    }
+  }
+
+  template <typename DirtyFn>
+  void RelayoutRows(const Csr<EdgeData>& merged, size_t begin, size_t end, const DirtyFn& dirty,
+                    const StaticCompFn& static_comp, RowScratch& scratch) {
+    if (kind_ == StaticSamplerKind::kUniform) {
+      return;
+    }
+    for (size_t v = begin; v < end;) {
+      const auto vid = static_cast<vertex_id_t>(v);
+      if (dirty(vid)) {
+        BuildRow(merged, vid, static_comp, scratch);
+        ++v;
+        continue;
+      }
+      size_t run_end = v + 1;
+      while (run_end < end && !dirty(static_cast<vertex_id_t>(run_end))) ++run_end;
+      if (kind_ == StaticSamplerKind::kAlias) {
+        alias_.MoveRows(vid, static_cast<vertex_id_t>(run_end));
+      } else {
+        its_.MoveRows(vid, static_cast<vertex_id_t>(run_end));
+      }
+      v = run_end;
     }
   }
 
@@ -141,6 +179,10 @@ class StaticSamplerSet {
     return 0;
   }
 
+  // The underlying tables (tests compare relayouts against full builds).
+  const FlatAliasTables& alias_tables() const { return alias_; }
+  const FlatItsTables& its_tables() const { return its_; }
+
   // Max single Ps at v (outlier appendix width bound).
   real_t MaxWeight(vertex_id_t v) const {
     switch (kind_) {
@@ -157,6 +199,22 @@ class StaticSamplerSet {
   }
 
  private:
+  // Materializes v's Ps row (in adjacency order) and builds its table.
+  void BuildRow(const Csr<EdgeData>& csr, vertex_id_t v, const StaticCompFn& static_comp,
+                RowScratch& scratch) {
+    const auto row = csr.Neighbors(v);
+    const bool custom = static_cast<bool>(static_comp);
+    scratch.weights.resize(row.size());
+    for (size_t i = 0; i < row.size(); ++i) {
+      scratch.weights[i] = custom ? static_comp(v, row[i]) : StaticWeight(row[i].data);
+    }
+    if (kind_ == StaticSamplerKind::kAlias) {
+      alias_.BuildRow(v, scratch.weights, scratch.alias);
+    } else {
+      its_.BuildRow(v, scratch.weights);
+    }
+  }
+
   const Csr<EdgeData>* csr_ = nullptr;
   StaticSamplerKind kind_ = StaticSamplerKind::kAuto;
   FlatAliasTables alias_;

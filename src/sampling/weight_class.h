@@ -519,7 +519,8 @@ class LazyAliasRow {
     }
     cb.prob.resize(cb.items.size());
     cb.alias.resize(cb.items.size());
-    alias_internal::BuildAliasRow(weights, cb.prob, cb.alias);
+    alias_internal::AliasScratch scratch;
+    alias_internal::BuildAliasRow(weights, cb.prob, cb.alias, scratch);
     bucket_builds_.fetch_add(1, std::memory_order_relaxed);
     ready_.fetch_or(bit, std::memory_order_release);
   }
@@ -688,6 +689,74 @@ class DynamicSamplerOverlay {
   std::vector<std::unique_ptr<LazyAliasRow>> lazy_rows_;  // kAliasClass
   uint64_t full_builds_ = 0;
   uint64_t incremental_updates_ = 0;
+};
+
+// Driver-side log of one mutation batch's DynamicSamplerOverlay edits
+// (docs/DYNAMIC_GRAPHS.md). The engine applies a batch's row edits to the
+// delta store at once but mirrors them into the overlay only when the batch
+// does not end in a merge: a merge relayouts the static tables over the
+// merged rows and resets the overlay, so rows built for a merging batch
+// would be freed unsampled. Each record carries the Ps the engine computed
+// when the edit applied, so ReplayInto performs exactly the call sequence
+// (and leaves exactly the bytes) that editing the overlay directly would
+// have.
+class OverlayEditLog {
+ public:
+  // Records a row build of `degree` entries at v and returns the slot the
+  // caller fills with the row's Ps.
+  std::span<real_t> BuildRow(vertex_id_t v, size_t degree) {
+    edits_.push_back({Op::kBuildRow, v, static_cast<uint32_t>(degree), 0.0f});
+    const size_t begin = row_ps_.size();
+    row_ps_.resize(begin + degree);
+    return {row_ps_.data() + begin, degree};
+  }
+  void PushBack(vertex_id_t v, real_t w) { edits_.push_back({Op::kPushBack, v, 0, w}); }
+  void SwapRemove(vertex_id_t v, uint32_t local_index) {
+    edits_.push_back({Op::kSwapRemove, v, local_index, 0.0f});
+  }
+  void Reweight(vertex_id_t v, uint32_t local_index, real_t w) {
+    edits_.push_back({Op::kReweight, v, local_index, w});
+  }
+
+  // Applies every recorded edit to `overlay` in record order.
+  void ReplayInto(DynamicSamplerOverlay& overlay) const {
+    size_t ps_at = 0;
+    for (const Edit& e : edits_) {
+      switch (e.op) {
+        case Op::kBuildRow:
+          overlay.BuildRow(e.vertex, std::span<const real_t>(row_ps_.data() + ps_at, e.arg));
+          ps_at += e.arg;
+          break;
+        case Op::kPushBack:
+          overlay.PushBack(e.vertex, e.weight);
+          break;
+        case Op::kSwapRemove:
+          overlay.SwapRemove(e.vertex, e.arg);
+          break;
+        case Op::kReweight:
+          overlay.Reweight(e.vertex, e.arg, e.weight);
+          break;
+      }
+    }
+  }
+
+  // Drops the records, keeping the buffers for the next batch.
+  void Clear() {
+    edits_.clear();
+    row_ps_.clear();
+  }
+
+ private:
+  enum class Op : uint8_t { kBuildRow, kPushBack, kSwapRemove, kReweight };
+  struct Edit {
+    Op op;
+    vertex_id_t vertex;
+    uint32_t arg;  // kBuildRow: row degree; kSwapRemove/kReweight: local index
+    real_t weight;
+  };
+
+  std::vector<Edit> edits_;
+  std::vector<real_t> row_ps_;  // Ps rows of the kBuildRow edits, in order
 };
 
 }  // namespace knightking

@@ -17,7 +17,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <map>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -31,9 +34,11 @@
 #include "src/graph/delta_store.h"
 #include "src/graph/generators.h"
 #include "src/obs/metrics_registry.h"
+#include "src/sampling/static_sampler.h"
 #include "src/sampling/weight_class.h"
 #include "src/testing/fault_injector.h"
 #include "src/util/rng.h"
+#include "src/util/thread_pool.h"
 #include "tests/test_util.h"
 
 namespace knightking {
@@ -210,7 +215,9 @@ TEST(DeltaStoreTest, MergedCsrFoldsOverlayAndRestoresSortedRows) {
   delta.Apply(Ins(0, 5, 7.0f), 0);
   delta.Apply(Del(0, 1), 0);
   delta.Apply(Rew(0, 3, 0.25f), 0);
-  auto merged = delta.MergedCsr();
+  Csr<WeightedEdgeData> merged;
+  delta.ShapeMerged(merged);
+  delta.FillMergedRows(merged, 0, merged.num_vertices());
   ASSERT_EQ(merged.OutDegree(0), 3u);
   std::map<vertex_id_t, real_t> row;
   vertex_id_t prev = 0;
@@ -240,6 +247,142 @@ TEST(DeltaStoreTest, ReweightOnUnweightedPayloadIsRejected) {
   vertex_id_t dst = csr.Neighbors(0)[0].neighbor;
   EXPECT_EQ(delta.Apply(Rew(0, dst, 2.0f), 0).kind, RowEdit::Kind::kNone);
   EXPECT_EQ(delta.stats().rejected, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Merge relayout: the static tables an overlay merge relayouts (clean rows
+// moved, dirty rows rebuilt) equal a full build over the merged CSR, byte
+// for byte.
+// ---------------------------------------------------------------------------
+
+template <typename T>
+bool SameBytes(std::span<const T> a, std::span<const T> b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
+}
+
+void ExpectSameTables(const StaticSamplerSet<WeightedEdgeData>& got,
+                      const StaticSamplerSet<WeightedEdgeData>& want) {
+  ASSERT_EQ(got.kind(), want.kind());
+  if (want.kind() == StaticSamplerKind::kAlias) {
+    const FlatAliasTables& g = got.alias_tables();
+    const FlatAliasTables& w = want.alias_tables();
+    EXPECT_TRUE(SameBytes(g.offsets(), w.offsets()));
+    EXPECT_TRUE(SameBytes(g.prob(), w.prob()));
+    EXPECT_TRUE(SameBytes(g.alias(), w.alias()));
+    EXPECT_TRUE(SameBytes(g.totals(), w.totals()));
+    EXPECT_TRUE(SameBytes(g.max_weights(), w.max_weights()));
+  } else {
+    const FlatItsTables& g = got.its_tables();
+    const FlatItsTables& w = want.its_tables();
+    EXPECT_TRUE(SameBytes(g.offsets(), w.offsets()));
+    EXPECT_TRUE(SameBytes(g.cdf(), w.cdf()));
+    EXPECT_TRUE(SameBytes(g.totals(), w.totals()));
+    EXPECT_TRUE(SameBytes(g.max_weights(), w.max_weights()));
+  }
+  EXPECT_EQ(got.MemoryBytes(), want.MemoryBytes());
+}
+
+// Applies `m` the way the engine does: materialize on first touch.
+void ApplyToOverlay(DeltaStore<WeightedEdgeData>& delta, const EdgeMutation& m) {
+  if (!delta.IsDirty(m.src)) delta.Materialize(m.src);
+  delta.Apply(m, /*merge_threshold=*/0);
+}
+
+// One round of overlay edits over `graph` (300 base vertices plus isolated
+// vertices 300..309): random inserts / deletes / reweights (some to zero) on
+// sources in [20, 300), then targeted rows: one emptied by deletes, one grown
+// by 40 inserts, one reweighted to zero, and a degree-0 vertex that gains
+// edges. Round r shifts the targets so successive merges touch new rows.
+void ApplyRandomOverlay(const Csr<WeightedEdgeData>& graph, DeltaStore<WeightedEdgeData>& delta,
+                        uint32_t round) {
+  const vertex_id_t n = graph.num_vertices();
+  Rng rng(HashCombine64(kSeed, round));
+  for (uint32_t i = 0; i < 400; ++i) {
+    const vertex_id_t src = 20 + rng.NextUInt32(280);
+    const auto row = delta.Neighbors(src);
+    const real_t w = rng.NextUInt32(5) == 0 ? 0.0f : 0.5f + 4.0f * rng.NextFloat();
+    const vertex_id_t picked =
+        row.empty() ? 0 : row[rng.NextUInt32(static_cast<uint32_t>(row.size()))].neighbor;
+    switch (rng.NextUInt32(3)) {
+      case 0:
+        ApplyToOverlay(delta, Ins(src, rng.NextUInt32(n), w));
+        break;
+      case 1:
+        ApplyToOverlay(delta, Del(src, picked));
+        break;
+      default:
+        ApplyToOverlay(delta, Rew(src, picked, w));
+        break;
+    }
+  }
+  const vertex_id_t emptied = 7 + round;
+  std::vector<vertex_id_t> nbrs;
+  for (const auto& u : graph.Neighbors(emptied)) nbrs.push_back(u.neighbor);
+  for (vertex_id_t d : nbrs) ApplyToOverlay(delta, Del(emptied, d));
+  for (uint32_t i = 0; i < 40; ++i) {
+    ApplyToOverlay(delta, Ins(11 + round, rng.NextUInt32(n), 0.25f + static_cast<real_t>(i)));
+  }
+  for (const auto& u : graph.Neighbors(13 + round)) {
+    ApplyToOverlay(delta, Rew(13 + round, u.neighbor, 0.0f));
+  }
+  ApplyToOverlay(delta, Ins(301 + round, 2, 1.5f));
+  ApplyToOverlay(delta, Ins(301 + round, 3, 0.0f));
+}
+
+TEST(MergeRelayoutTest, RelayoutEqualsFullBuildAcrossMerges) {
+  auto edges = AssignUniformWeights(GenerateUniformDegree(300, 6, 301), 0.5f, 4.0f, 11);
+  edges.num_vertices = 310;  // 300..309 start with degree 0
+  for (auto& e : edges.edges) {
+    if (e.src == 5) e.data.weight = 0.0f;  // a base row with zero total
+  }
+  const StaticSamplerSet<WeightedEdgeData>::StaticCompFn custom =
+      [](vertex_id_t v, const AdjUnit<WeightedEdgeData>& adj) {
+        return adj.data.weight * static_cast<real_t>(1 + (v + adj.neighbor) % 3);
+      };
+  for (StaticSamplerKind kind : {StaticSamplerKind::kAlias, StaticSamplerKind::kIts}) {
+    for (bool use_custom : {false, true}) {
+      for (size_t workers : {size_t{0}, size_t{4}}) {
+        SCOPED_TRACE(std::string(StaticSamplerKindName(kind)) + " custom=" +
+                     std::to_string(use_custom) + " workers=" + std::to_string(workers));
+        const auto comp = use_custom ? custom : nullptr;
+        std::unique_ptr<ThreadPool> pool;
+        if (workers > 0) pool = std::make_unique<ThreadPool>(workers);
+        Csr<WeightedEdgeData> graph = Csr<WeightedEdgeData>::FromEdgeList(edges);
+        Csr<WeightedEdgeData> retired;
+        StaticSamplerSet<WeightedEdgeData> sampler;
+        sampler.Build(graph, kind, comp, pool.get());
+        // Successive merges: from the second on, the relayout writes into
+        // the buffers the previous one retired, as the engine's do.
+        for (uint32_t round = 0; round < 3; ++round) {
+          DeltaStore<WeightedEdgeData> delta;
+          delta.Reset(&graph);
+          ApplyRandomOverlay(graph, delta, round);
+          ASSERT_TRUE(delta.IsDirty(301 + round));
+          ASSERT_EQ(delta.OutDegree(7 + round), 0u);
+          delta.ShapeMerged(retired);
+          sampler.BeginRelayout(retired);
+          const auto dirty = [&](vertex_id_t v) { return delta.IsDirty(v); };
+          auto pass = [&](size_t begin, size_t end) {
+            StaticSamplerSet<WeightedEdgeData>::RowScratch scratch;
+            delta.FillMergedRows(retired, begin, end);
+            sampler.RelayoutRows(retired, begin, end, dirty, comp, scratch);
+          };
+          if (pool != nullptr) {
+            pool->ParallelFor(graph.num_vertices(), /*chunk_size=*/7, pass);
+          } else {
+            pass(0, graph.num_vertices());
+          }
+          std::swap(graph, retired);
+          StaticSamplerSet<WeightedEdgeData> fresh;
+          fresh.Build(graph, kind, comp);
+          ExpectSameTables(sampler, fresh);
+          EXPECT_EQ(sampler.TotalWeight(5), 0.0);
+          EXPECT_EQ(sampler.TotalWeight(7 + round), 0.0);
+          EXPECT_GT(sampler.TotalWeight(301 + round), 0.0);
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -620,6 +763,28 @@ TEST(ValidateRunTest, RejectsMutatingSecondOrderAndStaleStateCombos) {
   EXPECT_EQ(clean.ValidateRun(Node2VecTransition(clean.graph(), Node2VecParams{})), "");
 }
 
+TEST(ValidateRunTest, RejectsMutationOutsideVertexRange) {
+  auto edges = AssignUniformWeights(GenerateUniformDegree(50, 6, 301), 1.0f, 5.0f, 11);
+  for (bool bad_src : {true, false}) {
+    SCOPED_TRACE(bad_src ? "src out of range" : "dst out of range");
+    MutationLog log(kSeed);
+    log.Append(1, {Ins(0, 30, 2.0f)});
+    log.Append(2, {bad_src ? Ins(50, 3, 1.0f) : Rew(3, 77, 1.0f)});
+    WalkEngineOptions opts = BaseOptions(2, 0);
+    opts.mutation_log = &log;
+    WalkEngine<WeightedEdgeData> engine(Csr<WeightedEdgeData>::FromEdgeList(edges), opts);
+    const TransitionSpec<WeightedEdgeData> transition = DeepWalkTransition<WeightedEdgeData>();
+    const std::string err = engine.ValidateRun(transition);
+    EXPECT_NE(err.find("batch 1 (epoch 2)"), std::string::npos) << err;
+    EXPECT_NE(err.find(bad_src ? "50->3" : "3->77"), std::string::npos) << err;
+    EXPECT_NE(err.find("[0, 50)"), std::string::npos) << err;
+    // Run refuses the log before any setup, with the same message, instead
+    // of reading past the overlay's vertex table at that batch's superstep.
+    const WalkerSpec<> walkers = DeepWalkWalkers(20, {.walk_length = 4});
+    EXPECT_DEATH(engine.Run(transition, walkers), "\\[0, 50\\)");
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Incremental-maintenance cost: the O(1) counter pins.
 // ---------------------------------------------------------------------------
@@ -699,6 +864,92 @@ TEST(IncrementalSamplerTest, TouchedBytesEstimateGrowsWithDeltaRows) {
   // kAuto batch sorting must see the overlay rows + weight-class rows a
   // mutated batch drags into cache, not just the flat per-vertex footprint.
   EXPECT_GT(mutated.EstimatedBatchTouchedBytes(64), clean_estimate);
+}
+
+// Every batch crosses merge_threshold 4 on vertex 4's row, so every batch
+// ends in a merge. Batch sources: {4, 9}, {4, 50}, {4, 120}.
+MutationLog EveryBatchMergesSchedule(const Csr<WeightedEdgeData>& csr) {
+  MutationLog log(kSeed);
+  auto four_reweights = [&](real_t w) {
+    std::vector<EdgeMutation> ms;
+    for (size_t i = 0; i < 4; ++i) {
+      ms.push_back(Rew(4, csr.Neighbors(4)[i].neighbor, w + static_cast<real_t>(i)));
+    }
+    return ms;
+  };
+  std::vector<EdgeMutation> b0 = four_reweights(2.0f);
+  b0.push_back(Ins(9, 120, 0.75f));
+  std::vector<EdgeMutation> b1 = four_reweights(6.0f);
+  b1.push_back(Ins(50, 51, 2.0f));
+  std::vector<EdgeMutation> b2 = four_reweights(0.5f);
+  b2.push_back(Del(120, csr.Neighbors(120)[0].neighbor));
+  log.Append(1, std::move(b0));
+  log.Append(3, std::move(b1));
+  log.Append(5, std::move(b2));
+  return log;
+}
+
+TEST(DeferredOverlayEditTest, MergingBatchesBuildNoOverlayRows) {
+  auto edges = AssignUniformWeights(GenerateUniformDegree(200, 8, 301), 1.0f, 5.0f, 11);
+  auto csr = Csr<WeightedEdgeData>::FromEdgeList(edges);
+  MutationLog log = EveryBatchMergesSchedule(csr);
+  MatrixRun run = RunDeepWalkWithMutations(edges, log, WorkersFromEnv(), false, std::nullopt,
+                                           std::nullopt, /*merge_threshold=*/4, "allmerge");
+  ASSERT_FALSE(run.paths.empty());
+  const MutationCounters& mc = run.mutations;
+  // Two rows materialize per batch and every batch merges...
+  EXPECT_EQ(mc.rows_materialized, 6u);
+  EXPECT_EQ(mc.merges, 3u);
+  EXPECT_EQ(mc.applied(), log.num_mutations());
+  // ...so no overlay row is ever built or edited: each merge rebuilds its
+  // batch's dirty rows in the flat tables instead.
+  EXPECT_EQ(mc.full_builds, 0u);
+  EXPECT_EQ(mc.incremental_updates, 0u);
+  EXPECT_EQ(mc.delta_mutations, 0u);
+}
+
+TEST(DeferredOverlayEditTest, MixedMergeScheduleIsByteIdentical) {
+  auto edges = AssignUniformWeights(GenerateUniformDegree(200, 8, 301), 1.0f, 5.0f, 11);
+  auto csr = Csr<WeightedEdgeData>::FromEdgeList(edges);
+  // Batches at epochs 1 and 5 stay below merge_threshold 4 and are sampled
+  // from overlay rows; the epoch-3 and epoch-7 batches merge. The epoch-3
+  // merge folds the epoch-1 rows too, and the epoch-5 rows are built on the
+  // merged graph.
+  MutationLog log(kSeed);
+  const vertex_id_t d4 = csr.Neighbors(4)[0].neighbor;
+  const vertex_id_t d9 = csr.Neighbors(9)[1].neighbor;
+  log.Append(1, {Ins(4, 100, 3.5f), Ins(9, 120, 0.75f), Rew(4, d4, 8.0f)});
+  log.Append(3, {Rew(9, d9, 2.0f), Ins(9, 31, 1.0f), Del(9, d9), Ins(9, 32, 6.0f),
+                 Ins(50, 51, 2.0f)});
+  log.Append(5, {Rew(4, 100, 0.0f), Ins(4, 101, 1.0f), Del(50, 51), Ins(120, 9, 1.5f)});
+  log.Append(7, {Ins(120, 10, 2.0f), Ins(120, 11, 2.0f), Rew(120, 9, 0.25f), Ins(120, 12, 4.0f)});
+  // One cell at merge_threshold 4; crash_epoch 0 means no crash.
+  auto run_cell = [&](size_t workers, uint64_t crash_epoch, const std::string& tag) {
+    std::optional<uint64_t> crash;
+    if (crash_epoch > 0) crash = crash_epoch;
+    return RunDeepWalkWithMutations(edges, log, workers, false, crash, std::nullopt, 4, tag);
+  };
+  const MatrixRun reference = run_cell(0, 0, "mixref");
+  ASSERT_FALSE(reference.paths.empty());
+  EXPECT_EQ(reference.mutations.merges, 2u);
+  // Only the non-merging batches reach the overlay: rows 4 and 9 at epoch 1,
+  // rows 4, 50 and 120 at epoch 5.
+  EXPECT_EQ(reference.mutations.full_builds, 5u);
+  EXPECT_EQ(reference.mutations.incremental_updates, 7u);
+  int variant = 0;
+  for (size_t workers : {size_t{0}, size_t{4}}) {
+    for (uint64_t crash_epoch : {uint64_t{0}, uint64_t{4}, uint64_t{6}}) {
+      SCOPED_TRACE(testing::Message() << "workers=" << workers << " crash_epoch=" << crash_epoch);
+      const MatrixRun run = run_cell(workers, crash_epoch, "mix" + std::to_string(variant++));
+      EXPECT_EQ(run.paths, reference.paths);
+      EXPECT_EQ(run.mutations.merges, reference.mutations.merges);
+      EXPECT_EQ(run.mutations.full_builds, reference.mutations.full_builds);
+      EXPECT_EQ(run.mutations.incremental_updates, reference.mutations.incremental_updates);
+      if (crash_epoch > 0) {
+        EXPECT_GT(run.ckpt.recoveries, 0u);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
